@@ -141,12 +141,6 @@ impl Var {
             // scatter, so groups are processed in two phases.
             let mut dcols: Vec<Vec<f32>> = Vec::with_capacity(if need.0 { groups } else { 0 });
             for g in 0..groups {
-                // Recompute this group's whole-batch column matrix from the
-                // saved input — the forward consumed it panel by panel and
-                // deliberately retained nothing (see module docs). Bitwise
-                // the matrix the pre-fusion code kept alive.
-                let col = im2col_batch(x.data(), g * group_in, sample_stride, n, &geom);
-                let col = &col;
                 // Gather grad group g into [OCg, N·OHOW] sample-major columns.
                 let mut go = vec![0.0f32; oc_per_g * ncols];
                 for s in 0..n {
@@ -157,11 +151,17 @@ impl Var {
                     }
                 }
                 if let Some(gw) = gw.as_mut() {
+                    // Recompute this group's whole-batch column matrix from
+                    // the saved input — the forward consumed it panel by
+                    // panel and deliberately retained nothing (see module
+                    // docs). Bitwise the matrix the pre-fusion code kept
+                    // alive. Only dW reads it, so a frozen weight skips it.
+                    let col = im2col_batch(x.data(), g * group_in, sample_stride, n, &geom);
                     // dW_g += go [OCg, N·OHOW] x col_g^T [N·OHOW, kvol].
                     // Explicit f32: gradients must never take the lossy
                     // int8 path, whatever scope the caller left active.
                     let dst = &mut gw[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
-                    gemm::gemm_nt_with(ComputeFormat::F32, &go, col, dst, oc_per_g, ncols, kvol);
+                    gemm::gemm_nt_with(ComputeFormat::F32, &go, &col, dst, oc_per_g, ncols, kvol);
                 }
                 if need.0 {
                     // dcol_g = W_g^T [kvol, OCg] x go [OCg, N·OHOW]

@@ -197,6 +197,11 @@ impl Var {
                     }
                     Tensor::from_vec(dx, &shape).expect("bn eval dX")
                 });
+                // dx does not read the affine gradients in eval mode, so
+                // frozen gamma/beta skip their reduction entirely.
+                if !(need.1 || need.2) {
+                    return vec![dx, None, None];
+                }
                 let mut dgamma = vec![0.0f32; c];
                 let mut dbeta = vec![0.0f32; c];
                 for smp in 0..n {

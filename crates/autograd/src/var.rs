@@ -45,7 +45,9 @@ pub(crate) struct VarInner {
     id: u64,
     value: RefCell<Tensor>,
     grad: RefCell<Option<Tensor>>,
-    requires_grad: bool,
+    /// A `Cell` so a leaf can be frozen for a scope
+    /// ([`Var::set_requires_grad`]); op nodes never change it.
+    requires_grad: Cell<bool>,
     parents: Vec<Var>,
     backward_fn: Option<BackwardFn>,
 }
@@ -87,7 +89,7 @@ impl std::fmt::Debug for Var {
         f.debug_struct("Var")
             .field("id", &self.inner.id)
             .field("shape", &self.shape())
-            .field("requires_grad", &self.inner.requires_grad)
+            .field("requires_grad", &self.inner.requires_grad.get())
             .finish()
     }
 }
@@ -116,7 +118,7 @@ impl Var {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 value: RefCell::new(value),
                 grad: RefCell::new(None),
-                requires_grad,
+                requires_grad: Cell::new(requires_grad),
                 parents,
                 backward_fn,
             }),
@@ -131,7 +133,7 @@ impl Var {
         parents: Vec<Var>,
         backward_fn: impl Fn(&Tensor) -> Vec<Option<Tensor>> + 'static,
     ) -> Var {
-        if !grad_enabled() || !parents.iter().any(|p| p.inner.requires_grad) {
+        if !grad_enabled() || !parents.iter().any(Var::requires_grad) {
             return Var::constant(value);
         }
         Var::new(value, true, parents, Some(Box::new(backward_fn)))
@@ -144,7 +146,22 @@ impl Var {
 
     /// Whether gradients flow into this node.
     pub fn requires_grad(&self) -> bool {
-        self.inner.requires_grad
+        self.inner.requires_grad.get()
+    }
+
+    /// Switch gradient tracking of a **leaf** on or off (freezing a
+    /// parameter). Ops capture which parents need a gradient when they
+    /// are recorded, so a parameter frozen during the forward pass gets no
+    /// weight gradient computed for it, while gradients into other inputs
+    /// are unchanged. Prefer a scoped helper that restores the flag
+    /// (`fedzkt_nn::with_frozen`) over calling this directly.
+    ///
+    /// # Panics
+    /// Panics when called on an op output: an interior node's flag is
+    /// derived from its parents and cannot be overridden.
+    pub fn set_requires_grad(&self, requires_grad: bool) {
+        assert!(self.inner.backward_fn.is_none(), "only leaf nodes can be frozen");
+        self.inner.requires_grad.set(requires_grad);
     }
 
     /// Borrow the node's value.
@@ -228,7 +245,7 @@ impl Var {
             debug_assert_eq!(parent_grads.len(), inner.parents.len());
             for (parent, pg) in inner.parents.iter().zip(parent_grads) {
                 if let Some(pg) = pg {
-                    if parent.inner.requires_grad {
+                    if parent.requires_grad() {
                         accumulate(&parent.inner, pg);
                     }
                 }
@@ -270,7 +287,7 @@ fn topo_order(root: &Var) -> Vec<Var> {
         if let Some(parent) = parents.get(child_idx) {
             let parent = parent.clone();
             stack.push((var, child_idx + 1));
-            if !visited.contains(&parent.inner.id) && parent.inner.requires_grad {
+            if !visited.contains(&parent.inner.id) && parent.requires_grad() {
                 stack.push((parent, 0));
             }
         } else {
@@ -353,6 +370,27 @@ mod tests {
             assert!(!p.scale(1.0).requires_grad());
         });
         assert!(p.scale(1.0).requires_grad());
+    }
+
+    #[test]
+    fn frozen_leaf_gets_no_gradient_but_its_sibling_does() {
+        let w = Var::parameter(t(vec![3.0]));
+        let x = Var::parameter(t(vec![2.0]));
+        w.set_requires_grad(false);
+        let y = w.mul(&x).sum_all();
+        w.set_requires_grad(true);
+        y.backward();
+        assert!(w.grad().is_none(), "need was captured while frozen");
+        assert_eq!(x.grad().unwrap().data(), &[3.0]);
+        // Everything frozen: no tape at all.
+        x.set_requires_grad(false);
+        assert!(!x.scale(2.0).requires_grad());
+    }
+
+    #[test]
+    #[should_panic(expected = "only leaf nodes")]
+    fn op_outputs_cannot_be_frozen() {
+        Var::parameter(t(vec![1.0])).scale(2.0).set_requires_grad(false);
     }
 
     #[test]

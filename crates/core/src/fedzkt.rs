@@ -17,6 +17,30 @@
 //! materialization runs the same seeded build as the eager constructor,
 //! and a re-materialization restores the stored summary through the
 //! lossless snapshot→rebuild→load round trip.
+//!
+//! ## Parallelism
+//!
+//! The device update trains the active fleet on worker threads
+//! ([`train_local_fleet`]). The server phase runs on the same
+//! [`RoundContext::threads`] budget wherever its work involves only fixed,
+//! independent models:
+//!
+//! * **student step (Eq. 2):** teacher replicas, rebuilt once per game from
+//!   state-dict snapshots and held resident on the workers
+//!   ([`par::with_resident`]), score each synthetic batch tape-free while
+//!   this thread runs the student's forward pass;
+//! * **transfer back (Eq. 8):** each active device's model lives on a
+//!   worker for the whole transfer loop; this thread streams one
+//!   `(x, global probabilities)` batch per iteration and generates the
+//!   next while the workers train on the current one.
+//!
+//! The **generator step** stays on this thread: its tape runs from the
+//! loss through the student and every teacher back into `x = G(z)`, and
+//! the autodiff tape is thread-local. It freezes the student's and
+//! teachers' parameters ([`with_frozen`]), so its backward pass computes
+//! only the input gradients it needs. Per-item work runs the same kernels
+//! in the same order whatever the thread count, and results merge in
+//! device order, so a run is bit-identical at every thread count.
 
 use crate::{FedZktConfig, GradNormProbe};
 use fedzkt_autograd::loss::kl_div_probs;
@@ -28,11 +52,11 @@ use fedzkt_fl::{
 };
 use fedzkt_models::{Generator, ModelSpec};
 use fedzkt_nn::{
-    load_state_dict, state_dict, Adam, AdamConfig, Module, MultiStepLr, Optimizer, Sgd,
-    SgdConfig, StateDict,
+    load_state_dict, state_dict, with_frozen, Adam, AdamConfig, Module, MultiStepLr, Optimizer,
+    Sgd, SgdConfig, StateDict,
 };
 use fedzkt_tensor::compute::with_format;
-use fedzkt_tensor::{seeded_rng, split_seed, ComputeFormat, Prng, Tensor};
+use fedzkt_tensor::{par, seeded_rng, split_seed, ComputeFormat, Prng, Tensor};
 
 /// One simulated device: an architecture chosen independently of its peers
 /// (the paper's core premise). The model is `None` while the device is not
@@ -240,10 +264,20 @@ impl FedZkt {
         }
     }
 
+    /// Snapshot device `k` for a worker-resident replica: its architecture,
+    /// its current state, and a rebuild seed fresh per round and device
+    /// (see [`FleetJob::rebuild_seed`]).
+    fn replica_source(&self, round: usize, k: usize) -> (ModelSpec, StateDict, u64) {
+        let seed = split_seed(self.seed, 0x6A3E_0000 + (round * 1009 + k) as u64);
+        (self.slots[k].spec, state_dict(self.model(k)), seed)
+    }
+
     /// Algorithm 3: the zero-shot distillation game followed by the
-    /// bidirectional transfer. Teachers run in eval mode (their running
-    /// statistics must not absorb synthetic data).
-    fn distillation_game(&mut self, active: &[usize]) {
+    /// bidirectional transfer, with the fixed models' independent work on
+    /// up to `threads` workers (see the module docs' *Parallelism*).
+    /// Teachers run in eval mode (their running statistics must not absorb
+    /// synthetic data).
+    fn distillation_game(&mut self, round: usize, active: &[usize], threads: usize) {
         let n_d = self.cfg.distill_iters;
         if n_d == 0 {
             return;
@@ -261,107 +295,80 @@ impl FedZkt {
         self.generator.set_training(true);
 
         // ---- Knowledge transfer: devices -> global model (Eq. 2) ----
-        for iter in 0..n_d {
-            gen_schedule.apply(&self.generator_opt, iter);
-            server_schedule.apply(&global_opt, iter);
-
-            // Generator step: maximise disagreement. Gradients flow through
-            // the student AND the teachers into x = G(z), then into θ.
-            self.generator_opt.zero_grad();
-            let z = Var::constant(self.generator.sample_z(self.cfg.distill_batch, &mut self.rng));
-            let x = self.generator.forward(&z);
-            let student = self.global.forward(&x);
-            let teacher_logits: Vec<Var> = self.models().map(|m| m.forward(&x)).collect();
-            let teacher_refs: Vec<&Var> = teacher_logits.iter().collect();
-            let l_g = self.cfg.loss.eval(&student, &teacher_refs).neg();
-            l_g.backward();
-            self.generator_opt.step();
-            // Discard gradients the generator step deposited on the student
-            // and teachers (their optimizers must not see them).
-            for p in self.global.params() {
-                p.zero_grad();
-            }
-            self.clear_device_grads();
-
-            // Global-model step: minimise disagreement on a fresh batch.
-            // x is fixed here, so the generator and teachers run without
-            // tape and the teacher signal enters as constants.
-            global_opt.zero_grad();
-            let z = Var::constant(self.generator.sample_z(self.cfg.distill_batch, &mut self.rng));
+        let (io, compute) = (self.io, self.compute);
+        let teachers: Vec<_> =
+            (0..self.slots.len()).map(|k| self.replica_source(round, k)).collect();
+        par::with_resident(
+            teachers.len(),
+            threads,
+            |k| {
+                let teacher = rebuild(io, &teachers[k]);
+                teacher.set_training(false);
+                teacher
+            },
             // Tape-free, so the configured compute format applies: under
-            // int8 the generator and every teacher forward run the integer
-            // kernels. The student's training step below stays f32.
-            let (x, teacher_logits) = with_format(self.compute, || {
-                no_grad(|| {
-                    let x = self.generator.forward(&z);
-                    let t: Vec<Tensor> =
-                        self.models().map(|m| m.forward(&x).value_clone()).collect();
-                    (x.value_clone(), t)
+            // int8 every teacher forward runs the integer kernels.
+            |_, teacher: &mut Box<dyn Module>, x: &Tensor| {
+                with_format(compute, || {
+                    no_grad(|| teacher.forward(&Var::constant(x.clone())).value_clone())
                 })
-            });
-            let x = Var::constant(x);
-            let student = self.global.forward(&x);
-            let teacher_vars: Vec<Var> = teacher_logits.into_iter().map(Var::constant).collect();
-            let teacher_refs: Vec<&Var> = teacher_vars.iter().collect();
-            let l_s = self.cfg.loss.eval(&student, &teacher_refs);
-            l_s.backward();
-            global_opt.step();
-        }
+            },
+            |scorers| {
+                for iter in 0..n_d {
+                    gen_schedule.apply(&self.generator_opt, iter);
+                    server_schedule.apply(&global_opt, iter);
+
+                    // Generator step: maximise disagreement. Gradients flow
+                    // through the student AND the teachers into x = G(z),
+                    // then into θ. Their parameters are frozen: no weight
+                    // gradient is computed for them at all.
+                    self.generator_opt.zero_grad();
+                    let z = Var::constant(
+                        self.generator.sample_z(self.cfg.distill_batch, &mut self.rng),
+                    );
+                    let x = self.generator.forward(&z);
+                    let fixed: Vec<&dyn Module> =
+                        std::iter::once(self.global.as_ref()).chain(self.models()).collect();
+                    with_frozen(&fixed, || {
+                        let student = self.global.forward(&x);
+                        let teacher_logits: Vec<Var> =
+                            self.models().map(|m| m.forward(&x)).collect();
+                        let teacher_refs: Vec<&Var> = teacher_logits.iter().collect();
+                        self.cfg.loss.eval(&student, &teacher_refs).neg().backward();
+                    });
+                    self.generator_opt.step();
+
+                    // Global-model step: minimise disagreement on a fresh
+                    // batch. x is fixed here, so the generator and teachers
+                    // run without tape and the teacher signal enters as
+                    // constants; the replicas score x while the student's
+                    // forward (f32, with tape) runs here.
+                    global_opt.zero_grad();
+                    let z = Var::constant(
+                        self.generator.sample_z(self.cfg.distill_batch, &mut self.rng),
+                    );
+                    let x = with_format(compute, || {
+                        no_grad(|| self.generator.forward(&z).value_clone())
+                    });
+                    scorers.submit(x.clone());
+                    let student = self.global.forward(&Var::constant(x));
+                    let teacher_vars: Vec<Var> =
+                        scorers.collect().into_iter().map(Var::constant).collect();
+                    let teacher_refs: Vec<&Var> = teacher_vars.iter().collect();
+                    let l_s = self.cfg.loss.eval(&student, &teacher_refs);
+                    l_s.backward();
+                    global_opt.step();
+                }
+            },
+        );
+        drop(teachers);
 
         // ---- Knowledge transfer: global model -> on-device models (Eq. 8) ----
         // The well-trained generator is reused; the KL loss distills the
         // (fixed) global model into each active device's architecture.
         self.global.set_training(false);
-        // Device models distill in train mode, as in the data-free
-        // distillation literature the paper builds on: batch statistics of
-        // the generated batch normalise the student's activations while it
-        // absorbs the central knowledge. (The subsequent DeviceUpdate on
-        // real data re-estimates the running statistics.)
-        let transfer_schedule =
-            MultiStepLr::paper_schedule(self.cfg.transfer_lr, self.cfg.transfer_iters.max(1));
-        let device_opts: Vec<(usize, Sgd)> = active
-            .iter()
-            .map(|&k| {
-                self.model(k).set_training(true);
-                (
-                    k,
-                    Sgd::new(
-                        self.model(k).params(),
-                        SgdConfig { lr: self.cfg.transfer_lr, momentum: 0.9, weight_decay: 0.0 },
-                    ),
-                )
-            })
-            .collect();
-        // Ablation: optionally replace the trained generator with a fresh
-        // random one for this phase (cfg.fresh_generator_for_transfer).
-        let fresh_generator = self.cfg.fresh_generator_for_transfer.then(|| {
-            self.cfg.generator.build(self.io.0, self.io.2, split_seed(self.seed, 0xF4E5))
-        });
-        let transfer_generator: &Generator = fresh_generator.as_ref().unwrap_or(&self.generator);
-        for iter in 0..self.cfg.transfer_iters {
-            let z =
-                Var::constant(transfer_generator.sample_z(self.cfg.distill_batch, &mut self.rng));
-            // Tape-free teacher side of Eq. 8 — compute-format scoped like
-            // the game's scoring pass; the per-device student steps below
-            // carry gradients and stay f32.
-            let (x, global_probs) = with_format(self.compute, || {
-                no_grad(|| {
-                    let x = transfer_generator.forward(&z);
-                    let p = self.global.forward(&x).softmax().value_clone();
-                    (x.value_clone(), p)
-                })
-            });
-            let x = Var::constant(x);
-            let teacher_probs = Var::constant(global_probs);
-            for (k, opt) in &device_opts {
-                transfer_schedule.apply(opt, iter);
-                opt.zero_grad();
-                let student_probs = self.model(*k).forward(&x).softmax();
-                // Eq. 8 with KL loss: minimise KL(F ‖ f'_k) over f'_k.
-                let loss = kl_div_probs(&teacher_probs, &student_probs);
-                loss.backward();
-                opt.step();
-            }
+        if self.cfg.transfer_iters > 0 && !active.is_empty() {
+            self.transfer_back(round, active, threads);
         }
         self.global.set_training(true);
         for m in self.models() {
@@ -369,13 +376,97 @@ impl FedZkt {
         }
     }
 
-    fn clear_device_grads(&self) {
-        for m in self.models() {
-            for p in m.params() {
-                p.zero_grad();
-            }
+    /// Eq. 8: distill the (fixed, eval-mode) global model into each active
+    /// device. Every active device's model lives on a worker for the whole
+    /// loop; this thread generates one `(x, global_probs)` batch at a time
+    /// and generates the next while the workers train on the current one.
+    fn transfer_back(&mut self, round: usize, active: &[usize], threads: usize) {
+        enum Transfer {
+            Step { iter: usize, x: Tensor, probs: Tensor },
+            Finish,
+        }
+        let transfer_schedule =
+            MultiStepLr::paper_schedule(self.cfg.transfer_lr, self.cfg.transfer_iters.max(1));
+        let sgd = SgdConfig { lr: self.cfg.transfer_lr, momentum: 0.9, weight_decay: 0.0 };
+        // Ablation: optionally replace the trained generator with a fresh
+        // random one for this phase (cfg.fresh_generator_for_transfer).
+        let fresh_generator = self.cfg.fresh_generator_for_transfer.then(|| {
+            self.cfg.generator.build(self.io.0, self.io.2, split_seed(self.seed, 0xF4E5))
+        });
+        let (io, compute, batch) = (self.io, self.compute, self.cfg.distill_batch);
+        let students: Vec<_> = active.iter().map(|&k| self.replica_source(round, k)).collect();
+        let trained = par::with_resident(
+            students.len(),
+            threads,
+            |i| {
+                // Device models distill in train mode, as in the data-free
+                // distillation literature the paper builds on: batch
+                // statistics of the generated batch normalise the student's
+                // activations while it absorbs the central knowledge. (The
+                // subsequent DeviceUpdate on real data re-estimates the
+                // running statistics.)
+                let model = rebuild(io, &students[i]);
+                model.set_training(true);
+                let opt = Sgd::new(model.params(), sgd);
+                (model, opt)
+            },
+            |_, (model, opt): &mut (Box<dyn Module>, Sgd), msg: &Transfer| match msg {
+                Transfer::Step { iter, x, probs } => {
+                    transfer_schedule.apply(opt, *iter);
+                    opt.zero_grad();
+                    let student_probs = model.forward(&Var::constant(x.clone())).softmax();
+                    // Eq. 8 with KL loss: minimise KL(F ‖ f'_k) over f'_k.
+                    kl_div_probs(&Var::constant(probs.clone()), &student_probs).backward();
+                    opt.step();
+                    None
+                }
+                Transfer::Finish => Some(state_dict(model.as_ref())),
+            },
+            |students| {
+                let generator = fresh_generator.as_ref().unwrap_or(&self.generator);
+                for iter in 0..self.cfg.transfer_iters {
+                    let z = Var::constant(generator.sample_z(batch, &mut self.rng));
+                    // Tape-free teacher side of Eq. 8 — compute-format
+                    // scoped like the game's scoring pass; the per-device
+                    // student steps carry gradients and stay f32.
+                    let (x, probs) = with_format(compute, || {
+                        no_grad(|| {
+                            let x = generator.forward(&z);
+                            let p = self.global.forward(&x).softmax().value_clone();
+                            (x.value_clone(), p)
+                        })
+                    });
+                    // This batch was generated while the workers trained
+                    // on the previous one. Wait for them before queueing
+                    // it: one batch in flight, never a whole phase's worth
+                    // (at Paper tier that would be ~1.5 GiB).
+                    if iter > 0 {
+                        students.collect();
+                    }
+                    students.submit(Transfer::Step { iter, x, probs });
+                }
+                students.collect();
+                students.broadcast(Transfer::Finish)
+            },
+        );
+        for (&k, sd) in active.iter().zip(trained) {
+            load_state_dict(self.model(k), &sd.expect("every student answers Finish"))
+                .expect("transfer replica matches device architecture");
         }
     }
+}
+
+/// Rebuild a model from a [`FedZkt::replica_source`] snapshot on the
+/// calling thread (the autodiff tape is thread-local, so workers rebuild
+/// rather than share). The snapshot round trip is lossless.
+fn rebuild(
+    io: (usize, usize, usize),
+    (spec, snapshot, seed): &(ModelSpec, StateDict, u64),
+) -> Box<dyn Module> {
+    let (channels, classes, img) = io;
+    let model = spec.build(channels, classes, img, *seed);
+    load_state_dict(model.as_ref(), snapshot).expect("replica snapshot matches its spec");
+    model
 }
 
 impl FederatedAlgorithm for FedZkt {
@@ -460,7 +551,7 @@ impl FederatedAlgorithm for FedZkt {
         if self.cfg.distill_iters > 0 || self.cfg.probe_grad_norms {
             self.ensure_all_resident();
         }
-        self.distillation_game(active);
+        self.distillation_game(round, active, ctx.threads());
 
         // Charge the game's compute to the simulated clock: the generator
         // and student each see one generated batch per distillation

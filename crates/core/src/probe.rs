@@ -6,7 +6,7 @@
 //! `‖∇ₓ L_KL‖ ≤ ‖∇ₓ L_SL‖ ≤ ‖∇ₓ L_ℓ1‖`.
 
 use fedzkt_autograd::{DistillLoss, Var};
-use fedzkt_nn::Module;
+use fedzkt_nn::{with_frozen, Module};
 use fedzkt_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -53,25 +53,21 @@ impl GradNormProbe {
         for d in devices {
             d.set_training(false);
         }
+        // Every model is frozen, so no parameter gradient is computed (or
+        // left behind to perturb the surrounding training loop); the input
+        // leaf belongs to no model and keeps its gradient.
+        let models: Vec<&dyn Module> =
+            std::iter::once(global).chain(devices.iter().copied()).collect();
         let norm_for = |loss: DistillLoss| -> f32 {
             let input = Var::parameter(x.clone());
-            let student = global.forward(&input);
-            let teacher_logits: Vec<Var> = devices.iter().map(|d| d.forward(&input)).collect();
-            let teacher_refs: Vec<&Var> = teacher_logits.iter().collect();
-            let l = loss.eval(&student, &teacher_refs);
-            l.backward();
-            let g = input.grad().expect("input gradient");
-            // Zero any parameter gradients this probe produced so it never
-            // perturbs the surrounding training loop.
-            for p in global.params() {
-                p.zero_grad();
-            }
-            for d in devices {
-                for p in d.params() {
-                    p.zero_grad();
-                }
-            }
-            g.norm_l2()
+            with_frozen(&models, || {
+                let student = global.forward(&input);
+                let teacher_logits: Vec<Var> =
+                    devices.iter().map(|d| d.forward(&input)).collect();
+                let teacher_refs: Vec<&Var> = teacher_logits.iter().collect();
+                loss.eval(&student, &teacher_refs).backward();
+            });
+            input.grad().expect("input gradient").norm_l2()
         };
         let record = GradNormRecord {
             round,

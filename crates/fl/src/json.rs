@@ -12,6 +12,12 @@
 
 use std::borrow::Cow;
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a few hundred kilobytes of `[` would
+/// overflow the stack — an abort, which no caller can catch. Every
+/// workspace format nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value; numbers stay as raw slices of the input.
 #[derive(Debug)]
 pub enum Value<'a> {
@@ -99,9 +105,9 @@ pub fn escape(s: &str) -> String {
 ///
 /// # Errors
 /// Returns a byte-positioned message when the input is not in the
-/// supported subset.
+/// supported subset or nests deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value<'_>, String> {
-    let mut p = Parser { bytes: input.as_bytes(), input, pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), input, pos: 0, depth: 0 };
     let value = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -114,6 +120,8 @@ struct Parser<'a> {
     bytes: &'a [u8],
     input: &'a str,
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -145,8 +153,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value<'a>, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string(),
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
@@ -154,6 +162,21 @@ impl<'a> Parser<'a> {
             Some(b) if *b == b'-' || b.is_ascii_digit() => Ok(self.number()),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    /// Parse one container one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value<'a>, String>,
+    ) -> Result<Value<'a>, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Value<'a> {
@@ -294,6 +317,21 @@ mod tests {
         assert!(parse("{\"s\": \"\\n\"}").is_err(), "unsupported escape");
         assert!(parse("nul").is_err());
         assert!(parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error_not_an_abort() {
+        // Uncapped, the per-level recursion overflows the stack on 200k
+        // '[' — an abort, which no caller can catch.
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).expect_err("200k-deep input parsed");
+        assert!(err.contains("nesting"), "{err}");
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(parse(&objects).expect_err("deep objects parsed").contains("nesting"));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(parse(&over).expect_err("one past the cap parsed").contains("nesting"));
     }
 
     #[test]

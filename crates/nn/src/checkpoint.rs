@@ -42,8 +42,9 @@ pub fn encode_state_dict(sd: &StateDict) -> Bytes {
 /// Deserialize a state dict produced by [`encode_state_dict`].
 ///
 /// # Errors
-/// Returns [`NnError::StateDictMismatch`] on bad magic, unsupported version
-/// or a truncated buffer — the decoder never panics on malformed input.
+/// Returns [`NnError::StateDictMismatch`] on bad magic, unsupported version,
+/// a shape whose size overflows, or a truncated buffer — the decoder never
+/// panics on malformed input.
 pub fn decode_state_dict(mut data: &[u8]) -> Result<StateDict, NnError> {
     let fail = |detail: &str| NnError::StateDictMismatch { detail: detail.to_string() };
     if data.remaining() < 16 {
@@ -76,10 +77,16 @@ pub fn decode_state_dict(mut data: &[u8]) -> Result<StateDict, NnError> {
         for _ in 0..rank {
             shape.push(data.get_u32_le() as usize);
         }
-        let len: usize = shape.iter().product();
-        if data.remaining() < 4 * len {
+        // Checked: a wrapped element count would let a huge claimed shape
+        // pass the length check against a short buffer.
+        let bytes = shape
+            .iter()
+            .try_fold(4usize, |acc, &d| acc.checked_mul(d))
+            .ok_or_else(|| fail("tensor shape overflows the element count"))?;
+        if data.remaining() < bytes {
             return Err(fail("truncated tensor data"));
         }
+        let len = bytes / 4;
         let mut values = Vec::with_capacity(len);
         for _ in 0..len {
             values.push(data.get_f32_le());
@@ -165,6 +172,19 @@ mod tests {
         for cut in 0..data.len() {
             assert!(decode_state_dict(&data[..cut]).is_err(), "prefix {cut} decoded");
         }
+    }
+
+    #[test]
+    fn rejects_a_shape_whose_element_count_overflows() {
+        // Dims [65536; 4]: the product is 2^64, which wraps to 0 unchecked
+        // and would pass the length check against zero data bytes.
+        let mut data = Vec::new();
+        data.extend_from_slice(MAGIC);
+        for word in [VERSION, 1, 0, 4, 65536, 65536, 65536, 65536] {
+            data.extend_from_slice(&word.to_le_bytes());
+        }
+        let err = decode_state_dict(&data).expect_err("overflowing shape decoded");
+        assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use layers::{
     Linear, MaxPool2d, UpsampleNearest2d,
 };
 pub use module::{
-    load_state_dict, param_bytes, param_count, state_bytes, state_dict, Buffer, Module,
-    Sequential, StateDict,
+    load_state_dict, param_bytes, param_count, state_bytes, state_dict, with_frozen, Buffer,
+    Module, Sequential, StateDict,
 };
 pub use optim::{Adam, AdamConfig, MultiStepLr, Optimizer, Sgd, SgdConfig};

@@ -212,6 +212,40 @@ pub fn state_bytes(module: &dyn Module) -> usize {
     values * std::mem::size_of::<f32>()
 }
 
+/// Run `f` with every parameter of `modules` frozen, restoring each
+/// parameter's `requires_grad` flag on exit — normal return or unwind.
+///
+/// Ops record which parents need a gradient when they run, so a forward
+/// pass inside the scope computes no weight gradients for these modules,
+/// while gradients into every other leaf (a generator's output, a probe's
+/// input) are computed by the same kernels in the same order as without
+/// the scope: bit-identical. Only the listed modules' parameters are
+/// touched, never other leaves. The backward pass may run inside or after
+/// the scope: which gradients exist was fixed when each op ran.
+pub fn with_frozen<T>(modules: &[&dyn Module], f: impl FnOnce() -> T) -> T {
+    struct Restore(Vec<(Var, bool)>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            for (p, requires_grad) in &self.0 {
+                p.set_requires_grad(*requires_grad);
+            }
+        }
+    }
+    let saved: Vec<(Var, bool)> = modules
+        .iter()
+        .flat_map(|m| m.params())
+        .map(|p| {
+            let requires_grad = p.requires_grad();
+            (p, requires_grad)
+        })
+        .collect();
+    for (p, _) in &saved {
+        p.set_requires_grad(false);
+    }
+    let _restore = Restore(saved);
+    f()
+}
+
 /// A module that chains child modules in order.
 pub struct Sequential {
     layers: Vec<Box<dyn Module>>,

@@ -32,10 +32,13 @@ fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn run_once(seed: u64) -> RunLog {
-    run_with_threads(seed, 0)
+    run_with_threads(seed, 0, 1.0)
 }
 
-fn run_with_threads(seed: u64, threads: usize) -> RunLog {
+/// A FedZKT run. At `participation < 1` the transfer back to devices runs
+/// on a strict subset of the fleet while the game's teachers span all of
+/// it.
+fn run_with_threads(seed: u64, threads: usize, participation: f32) -> RunLog {
     let (train, test) = SynthConfig {
         family: DataFamily::MnistLike,
         img: 8,
@@ -54,7 +57,7 @@ fn run_with_threads(seed: u64, threads: usize) -> RunLog {
         ModelSpec::SmallCnn { base_channels: 2 },
         ModelSpec::LeNet { scale: 0.5, deep: false },
     ];
-    let sim_cfg = SimConfig { rounds: 2, seed, threads, ..Default::default() };
+    let sim_cfg = SimConfig { rounds: 2, seed, threads, participation, ..Default::default() };
     let cfg = FedZktConfig {
         local_epochs: 1,
         distill_iters: 3,
@@ -159,10 +162,17 @@ fn runlog_is_bit_identical_across_thread_counts() {
     // The determinism guarantee of the execution model: worker-thread count
     // partitions work but never reorders a single floating-point operation
     // within an output element, and fleet results merge in device order.
-    let one = run_with_threads(11, 1);
-    let four = run_with_threads(11, 4);
-    assert_eq!(one, four, "threads=1 vs threads=4 diverged");
-    assert_bit_identical(&one, &four);
+    // Two threads split the three teacher replicas unevenly (2 + 1).
+    for participation in [1.0, 0.67] {
+        let one = run_with_threads(11, 1, participation);
+        for threads in [2, 4] {
+            let other = run_with_threads(11, threads, participation);
+            assert_eq!(one, other, "threads=1 vs threads={threads} diverged at {participation}");
+            assert_bit_identical(&one, &other);
+        }
+        let active = if participation < 1.0 { 2 } else { 3 };
+        assert!(one.rounds.iter().all(|r| r.active_devices.len() == active));
+    }
 }
 
 #[test]
