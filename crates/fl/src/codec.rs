@@ -67,7 +67,7 @@
 use fedzkt_nn::StateDict;
 use fedzkt_tensor::ops::quant::{quant_range, quantize};
 use fedzkt_tensor::typed::{Rows2D, RowsMut2D};
-use fedzkt_tensor::Tensor;
+use fedzkt_tensor::{checked_numel, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Wire-format version byte; bump on any incompatible layout change.
@@ -294,10 +294,8 @@ fn read_header(
         }
         // Reject shapes whose element count cannot be addressed — or is
         // implausibly large for this workspace — before allocating.
-        let elements = shape
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or_else(|| CodecError("tensor shape overflow".into()))?;
+        let elements =
+            checked_numel(&shape).ok_or_else(|| CodecError("tensor shape overflow".into()))?;
         if elements > MAX_TENSOR_ELEMENTS {
             return Err(CodecError(format!(
                 "tensor claims {elements} elements (limit {MAX_TENSOR_ELEMENTS})"

@@ -23,7 +23,7 @@
 
 use crate::{
     train_local_fleet, AlgoState, DeviceRegistry, FederatedAlgorithm, FleetJob, LocalTrainConfig,
-    Materialization, RoundContext, SimConfig, StreamingAverage,
+    Materialization, RoundContext, ShardStore, SimConfig, StreamingAverage,
 };
 use fedzkt_data::Dataset;
 use fedzkt_models::ModelSpec;
@@ -50,30 +50,6 @@ pub struct FedAvgConfig {
 impl Default for FedAvgConfig {
     fn default() -> Self {
         FedAvgConfig { local_epochs: 1, batch_size: 32, lr: 0.05, momentum: 0.9, prox_mu: 0.0 }
-    }
-}
-
-/// Device data, stored per the fleet's materialization mode: eager keeps
-/// every shard sliced; lazy keeps one training set plus per-device index
-/// sets, and slices a shard only while its device is sampled.
-enum ShardStore {
-    Eager(Vec<Dataset>),
-    Lazy { train: Dataset, index: Vec<Vec<usize>> },
-}
-
-impl ShardStore {
-    fn devices(&self) -> usize {
-        match self {
-            ShardStore::Eager(shards) => shards.len(),
-            ShardStore::Lazy { index, .. } => index.len(),
-        }
-    }
-
-    fn shard_len(&self, k: usize) -> usize {
-        match self {
-            ShardStore::Eager(shards) => shards[k].len(),
-            ShardStore::Lazy { index, .. } => index[k].len(),
-        }
     }
 }
 
@@ -110,23 +86,18 @@ impl FedAvg {
         assert!(!shards.is_empty(), "need at least one device");
         let io = (train.channels(), train.num_classes(), train.img_size());
         let global = spec.build(io.0, io.1, io.2, sim.seed);
-        let (store, registry) = match sim.materialization {
-            Materialization::Eager => (
-                ShardStore::Eager(shards.iter().map(|idx| train.subset(idx)).collect()),
-                DeviceRegistry::eager(shards.len()),
-            ),
-            Materialization::Lazy => (
-                ShardStore::Lazy { train: train.clone(), index: shards.to_vec() },
-                DeviceRegistry::new(shards.len()),
-            ),
+        let registry = match sim.materialization {
+            Materialization::Eager => DeviceRegistry::eager(shards.len()),
+            Materialization::Lazy => DeviceRegistry::new(shards.len()),
         };
-        FedAvg { cfg, seed: sim.seed, spec, io, global, shards: store, registry, pending: None }
+        let shards = ShardStore::new(train, shards, sim.materialization);
+        FedAvg { cfg, seed: sim.seed, spec, io, global, shards, registry, pending: None }
     }
 }
 
 impl FederatedAlgorithm for FedAvg {
     fn devices(&self) -> usize {
-        self.shards.devices()
+        self.registry.registered()
     }
 
     /// Every active device starts from the broadcast global snapshot —
@@ -153,26 +124,20 @@ impl FederatedAlgorithm for FedAvg {
         // Lazy fleet: materialize the active shards for the duration of
         // the dispatch (the data is the only per-device state — models are
         // rebuilt from the broadcast snapshot on the workers).
-        let staged: Vec<Dataset> = match &self.shards {
-            ShardStore::Eager(_) => Vec::new(),
-            ShardStore::Lazy { train, index } => active
-                .iter()
-                .map(|&dev| {
-                    self.registry.checkout(dev);
-                    train.subset(&index[dev])
-                })
-                .collect(),
-        };
+        let lazy = self.shards.is_lazy();
+        if lazy {
+            for &dev in active {
+                self.registry.checkout(dev);
+            }
+        }
+        let staged = self.shards.stage(active);
         let jobs: Vec<FleetJob> = active
             .iter()
             .enumerate()
             .map(|(i, &dev)| FleetJob {
                 spec: self.spec,
                 snapshot: global_sd.clone(),
-                data: match &self.shards {
-                    ShardStore::Eager(shards) => &shards[dev],
-                    ShardStore::Lazy { .. } => &staged[i],
-                },
+                data: &staged[i],
                 cfg: LocalTrainConfig {
                     epochs: self.cfg.local_epochs,
                     batch_size: self.cfg.batch_size,
@@ -190,7 +155,7 @@ impl FederatedAlgorithm for FedAvg {
         let results = train_local_fleet(&jobs, self.io, ctx.threads());
         drop(jobs);
         drop(staged);
-        if let ShardStore::Lazy { .. } = self.shards {
+        if lazy {
             for &dev in active {
                 self.registry.release(dev);
             }
@@ -265,22 +230,14 @@ impl FederatedAlgorithm for FedAvg {
     fn save_state(&self) -> AlgoState {
         let mut state = AlgoState::new();
         state.put_dict("global", &state_dict(self.global.as_ref()));
-        state.put_words(
-            "registry",
-            vec![self.registry.peak_resident() as u64, self.registry.touched() as u64],
-        );
+        self.registry.save_counters(&mut state);
         state
     }
 
     fn load_state(&mut self, state: &AlgoState) -> Result<(), String> {
         load_state_dict(self.global.as_ref(), &state.dict("global")?)
             .map_err(|e| format!("global model: {e}"))?;
-        let reg = state.words("registry")?;
-        if reg.len() != 2 {
-            return Err("registry counters must be [peak_resident, touched]".into());
-        }
-        self.registry.absorb_counters(reg[0] as usize, reg[1] as usize);
-        Ok(())
+        self.registry.load_counters(state)
     }
 }
 
@@ -382,7 +339,8 @@ mod tests {
     #[test]
     fn checkpoint_resume_matches_the_uninterrupted_run_bit_for_bit() {
         for mode in [Materialization::Eager, Materialization::Lazy] {
-            let reference = setup_mode(0.0, 0.67, mode).run().clone();
+            let mut uninterrupted = setup_mode(0.0, 0.67, mode);
+            let reference = uninterrupted.run().clone();
             let mut first = setup_mode(0.0, 0.67, mode);
             first.round(0);
             first.round(1);
@@ -393,6 +351,11 @@ mod tests {
             resumed.resume_from(&ck).expect("resume");
             let log = resumed.run().clone();
             assert_eq!(log.to_json(), reference.to_json(), "mode {mode:?}");
+            assert_eq!(
+                resumed.checkpoint().to_json(),
+                uninterrupted.checkpoint().to_json(),
+                "mode {mode:?}: checkpoint format drifted"
+            );
         }
     }
 

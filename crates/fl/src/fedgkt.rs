@@ -27,9 +27,16 @@
 //! serially on the driver thread; every step is a pure function of
 //! `(seed, round, k)`, which keeps runs bit-identical across thread
 //! counts, materialization modes and kill/resume boundaries.
+//!
+//! ## Scale model
+//!
+//! The split models live in a [`DeviceFleet`]; only the active devices
+//! are materialized outside evaluation. The per-device soft labels are
+//! cross-round state of the protocol, not of the model, so they stay
+//! here and are checkpointed as `soft_{k}`.
 
 use crate::checkpoint::AlgoState;
-use crate::registry::{DeviceRegistry, Materialization};
+use crate::registry::{DeviceFleet, DeviceRegistry};
 use crate::{digest_logits, train_local, DigestConfig, FederatedAlgorithm, LocalTrainConfig,
     RoundContext, SimConfig};
 use fedzkt_autograd::loss::cross_entropy;
@@ -113,25 +120,9 @@ impl Module for SplitModel {
     }
 }
 
-/// One simulated device: its extractor architecture, and the split model
-/// itself while the device is materialized.
-struct GktSlot {
-    spec: ModelSpec,
-    model: Option<SplitModel>,
-}
-
-/// Private shards, stored per the fleet's materialization mode.
-enum GktData {
-    Eager(Vec<Dataset>),
-    Lazy { train: Dataset, index: Vec<Vec<usize>> },
-}
-
-impl GktData {
-    fn shard_len(&self, k: usize) -> usize {
-        match self {
-            GktData::Eager(shards) => shards[k].len(),
-            GktData::Lazy { index, .. } => index[k].len(),
-        }
+impl AsRef<dyn Module> for SplitModel {
+    fn as_ref(&self) -> &(dyn Module + 'static) {
+        self
     }
 }
 
@@ -141,10 +132,7 @@ pub struct FedGkt {
     cfg: FedGktConfig,
     seed: u64,
     io: (usize, usize, usize),
-    mode: Materialization,
-    slots: Vec<GktSlot>,
-    data: GktData,
-    registry: DeviceRegistry,
+    fleet: DeviceFleet<SplitModel>,
     /// The server's classifier head over the exchanged feature space:
     /// `Linear(d, hidden) → ReLU → Linear(hidden, classes)`.
     head: Sequential,
@@ -162,7 +150,7 @@ pub struct FedGkt {
 impl FedGkt {
     /// Build the federation over `zoo` extractor architectures and the
     /// private `shards` of `train`. `sim` supplies the run seed and the
-    /// fleet's [`Materialization`] mode.
+    /// fleet's [`Materialization`](crate::Materialization) mode.
     ///
     /// # Panics
     /// Panics when `zoo`/`shards` lengths differ or are empty.
@@ -173,30 +161,11 @@ impl FedGkt {
         cfg: FedGktConfig,
         sim: &SimConfig,
     ) -> Self {
-        assert!(!zoo.is_empty(), "need at least one device");
-        assert_eq!(zoo.len(), shards.len(), "zoo/shards length mismatch");
         let io = (train.channels(), train.num_classes(), train.img_size());
-        let build = |spec: &ModelSpec, k: usize, seed: u64| -> SplitModel {
-            Self::build_split(spec, io, cfg.feature_dim, seed, k)
-        };
-        let (slots, data, registry) = match sim.materialization {
-            Materialization::Eager => (
-                zoo.iter()
-                    .enumerate()
-                    .map(|(k, spec)| GktSlot {
-                        spec: *spec,
-                        model: Some(build(spec, k, sim.seed)),
-                    })
-                    .collect::<Vec<_>>(),
-                GktData::Eager(shards.iter().map(|idx| train.subset(idx)).collect()),
-                DeviceRegistry::eager(zoo.len()),
-            ),
-            Materialization::Lazy => (
-                zoo.iter().map(|spec| GktSlot { spec: *spec, model: None }).collect(),
-                GktData::Lazy { train: train.clone(), index: shards.to_vec() },
-                DeviceRegistry::new(zoo.len()),
-            ),
-        };
+        let (seed, feature_dim) = (sim.seed, cfg.feature_dim);
+        let fleet = DeviceFleet::new(zoo, train, shards, sim.materialization, move |k, spec| {
+            Self::build_split(spec, io, feature_dim, seed, k)
+        });
         let (_, classes, _) = io;
         let mut rng = seeded_rng(split_seed(sim.seed, 0x6C7_5EED));
         let head = Sequential::new(vec![
@@ -208,12 +177,9 @@ impl FedGkt {
             cfg,
             seed: sim.seed,
             io,
-            mode: sim.materialization,
             soft: vec![None; zoo.len()],
             digested_this_round: vec![false; zoo.len()],
-            slots,
-            data,
-            registry,
+            fleet,
             head,
             pending: Vec::new(),
         }
@@ -242,49 +208,6 @@ impl FedGkt {
         &self.head
     }
 
-    /// Device `k`'s materialized split model.
-    ///
-    /// # Panics
-    /// Panics when the device is not resident — a lifecycle bug, since
-    /// every code path that touches a model materializes it first.
-    fn model(&self, k: usize) -> &SplitModel {
-        self.slots[k].model.as_ref().expect("device model must be resident here")
-    }
-
-    /// Materialize device `k` if it is not already resident.
-    fn ensure_resident(&mut self, k: usize) {
-        if self.slots[k].model.is_some() {
-            return;
-        }
-        let model =
-            Self::build_split(&self.slots[k].spec, self.io, self.cfg.feature_dim, self.seed, k);
-        if let Some(summary) = self.registry.take_summary(k) {
-            load_state_dict(&model, &summary)
-                .expect("registry summary matches split architecture");
-        }
-        self.slots[k].model = Some(model);
-        self.registry.checkout(k);
-    }
-
-    /// Stage the private shards of `ids` for this round (empty in eager
-    /// mode, where the shards are held permanently).
-    fn stage_shards(&self, ids: &[usize]) -> Vec<Dataset> {
-        match &self.data {
-            GktData::Eager(_) => Vec::new(),
-            GktData::Lazy { train, index } => {
-                ids.iter().map(|&k| train.subset(&index[k])).collect()
-            }
-        }
-    }
-
-    /// The `i`-th staged shard of `ids`.
-    fn shard<'a>(&'a self, staged: &'a [Dataset], ids: &[usize], i: usize) -> &'a Dataset {
-        match &self.data {
-            GktData::Eager(shards) => &shards[ids[i]],
-            GktData::Lazy { .. } => &staged[i],
-        }
-    }
-
     /// Device `k`'s uplink bundle over its shard: extracted features,
     /// local logits and ground-truth labels, one row per private sample.
     /// An empty shard yields the zero-row bundle without touching the
@@ -303,7 +226,7 @@ impl FedGkt {
                 buffers: vec![],
             };
         }
-        let model = self.model(k);
+        let model = self.fleet.device(k);
         model.set_training(false);
         let x = Var::constant(shard.images().clone());
         let (features, logits) = no_grad(|| {
@@ -357,25 +280,23 @@ impl FedGkt {
 
 impl FederatedAlgorithm for FedGkt {
     fn devices(&self) -> usize {
-        self.slots.len()
+        self.fleet.devices()
     }
 
     /// Device phase: digest last round's soft labels (if any), train the
     /// split model on the private shard, then uplink the per-sample
     /// feature/logit/label bundle.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
-        for &k in active {
-            self.ensure_resident(k);
-        }
-        let staged = self.stage_shards(active);
-        let mut digested = vec![false; self.slots.len()];
+        self.fleet.ensure_resident(active.iter().copied());
+        let staged = self.fleet.stage(active);
+        let mut digested = vec![false; self.fleet.devices()];
         let mut pending = Vec::with_capacity(active.len());
         let mut loss_sum = 0.0f32;
         for (i, &k) in active.iter().enumerate() {
-            let shard = self.shard(&staged, active, i);
+            let shard = &staged[i];
             if let Some(soft) = &self.soft[k] {
                 digest_logits(
-                    self.model(k),
+                    self.fleet.model(k),
                     &DigestConfig {
                         inputs: shard.images(),
                         targets: soft,
@@ -390,7 +311,7 @@ impl FederatedAlgorithm for FedGkt {
                 digested[k] = !shard.is_empty() && self.cfg.kd_epochs > 0;
             }
             loss_sum += train_local(
-                self.model(k),
+                self.fleet.model(k),
                 shard,
                 &LocalTrainConfig {
                     epochs: self.cfg.local_epochs,
@@ -452,14 +373,14 @@ impl FederatedAlgorithm for FedGkt {
     }
 
     fn device_model(&self, k: usize) -> &dyn Module {
-        self.model(k)
+        self.fleet.model(k)
     }
 
     /// The uplink claim: O(n_k) per-sample rows — features `[n,d]`,
     /// logits `[n,C]` and labels `[n]` — never model state.
     fn payload_template(&self, k: usize) -> StateDict {
         let (_, classes, _) = self.io;
-        let n = self.data.shard_len(k);
+        let n = self.fleet.shard_len(k);
         StateDict {
             params: vec![
                 Tensor::zeros(&[n, self.cfg.feature_dim]),
@@ -475,13 +396,13 @@ impl FederatedAlgorithm for FedGkt {
     fn downlink_template(&self, k: usize) -> StateDict {
         let (_, classes, _) = self.io;
         StateDict {
-            params: vec![Tensor::zeros(&[self.data.shard_len(k), classes])],
+            params: vec![Tensor::zeros(&[self.fleet.shard_len(k), classes])],
             buffers: vec![],
         }
     }
 
     fn local_samples(&self, k: usize) -> usize {
-        let shard = self.data.shard_len(k);
+        let shard = self.fleet.shard_len(k);
         let kd = if self.digested_this_round[k] { self.cfg.kd_epochs * shard } else { 0 };
         self.cfg.local_epochs * shard + kd
     }
@@ -491,24 +412,15 @@ impl FederatedAlgorithm for FedGkt {
     }
 
     fn registry(&self) -> Option<&DeviceRegistry> {
-        Some(&self.registry)
+        Some(self.fleet.registry())
     }
 
     fn prepare_eval(&mut self) {
-        for k in 0..self.slots.len() {
-            self.ensure_resident(k);
-        }
+        self.fleet.ensure_all_resident();
     }
 
     fn end_round(&mut self, _round: usize) {
-        if self.mode.is_lazy() {
-            for k in 0..self.slots.len() {
-                if let Some(model) = self.slots[k].model.take() {
-                    self.registry.store_summary(k, state_dict(&model));
-                    self.registry.release(k);
-                }
-            }
-        }
+        self.fleet.end_round();
     }
 
     /// What FedGKT carries across rounds: every split model (resident or
@@ -517,14 +429,7 @@ impl FederatedAlgorithm for FedGkt {
     /// registry's monotone counters.
     fn save_state(&self) -> AlgoState {
         let mut state = AlgoState::new();
-        for (k, slot) in self.slots.iter().enumerate() {
-            if let Some(model) = &slot.model {
-                state.put_dict(format!("device_{k}"), &state_dict(model));
-            }
-        }
-        for (k, summary) in self.registry.summaries() {
-            state.put_dict(format!("device_{k}"), summary);
-        }
+        self.fleet.save(&mut state);
         state.put_dict("server_head", &state_dict(&self.head));
         for (k, soft) in self.soft.iter().enumerate() {
             if let Some(t) = soft {
@@ -534,53 +439,43 @@ impl FederatedAlgorithm for FedGkt {
                 );
             }
         }
-        state.put_words(
-            "registry",
-            vec![self.registry.peak_resident() as u64, self.registry.touched() as u64],
-        );
         state
     }
 
+    /// Each `soft_{k}` must be one `[shard_len(k), classes]` tensor: the
+    /// device digests it row by row against its own shard next round.
     fn load_state(&mut self, state: &AlgoState) -> Result<(), String> {
-        for k in 0..self.slots.len() {
-            let name = format!("device_{k}");
-            if state.has_blob(&name) {
-                let sd = state.dict(&name)?;
-                match self.mode {
-                    Materialization::Eager => load_state_dict(self.model(k), &sd)
-                        .map_err(|e| format!("device {k}: {e}"))?,
-                    Materialization::Lazy => self.registry.store_summary(k, sd),
+        self.fleet.load(state)?;
+        let (_, classes, _) = self.io;
+        for k in 0..self.fleet.devices() {
+            let name = format!("soft_{k}");
+            self.soft[k] = if state.has_blob(&name) {
+                let mut sd = state.dict(&name)?;
+                let expected = [self.fleet.shard_len(k), classes];
+                match sd.params.pop() {
+                    Some(t) if sd.params.is_empty() && t.shape() == expected => Some(t),
+                    _ => return Err(format!("{name} must hold one {expected:?} tensor")),
                 }
-            }
-            let soft_name = format!("soft_{k}");
-            self.soft[k] = if state.has_blob(&soft_name) {
-                let mut sd = state.dict(&soft_name)?;
-                if sd.params.len() != 1 {
-                    return Err(format!("soft_{k} must hold exactly one tensor"));
-                }
-                Some(sd.params.pop().expect("checked above"))
             } else {
                 None
             };
         }
         let head = state.dict("server_head")?;
-        load_state_dict(&self.head, &head).map_err(|e| format!("server head: {e}"))?;
-        let reg = state.words("registry")?;
-        if reg.len() != 2 {
-            return Err("registry counters must be [peak_resident, touched]".into());
-        }
-        self.registry.absorb_counters(reg[0] as usize, reg[1] as usize);
-        Ok(())
+        load_state_dict(&self.head, &head).map_err(|e| format!("server head: {e}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CodecSpec, PayloadCodec, SimCheckpoint, Simulation};
+    use crate::{CodecSpec, Materialization, PayloadCodec, SimCheckpoint, Simulation};
     use fedzkt_data::{DataFamily, Partition, SynthConfig};
 
     fn setup(sim: SimConfig) -> Simulation<FedGkt> {
+        setup_split(sim, Partition::Iid, 5)
+    }
+
+    fn setup_split(sim: SimConfig, partition: Partition, split_seed: u64) -> Simulation<FedGkt> {
         let (train, test) = SynthConfig {
             family: DataFamily::Cifar10Like,
             img: 8,
@@ -591,7 +486,7 @@ mod tests {
             ..Default::default()
         }
         .generate();
-        let shards = Partition::Iid.split(train.labels(), 4, 3, 5).unwrap();
+        let shards = partition.split(train.labels(), 4, 3, split_seed).unwrap();
         let zoo = vec![
             ModelSpec::Mlp { hidden: 16 },
             ModelSpec::SmallCnn { base_channels: 2 },
@@ -750,7 +645,8 @@ mod tests {
                 materialization: mode,
                 ..Default::default()
             };
-            let reference = setup(sim_cfg).run().clone();
+            let mut uninterrupted = setup(sim_cfg);
+            let reference = uninterrupted.run().clone();
             let mut first = setup(sim_cfg);
             first.round(0);
             let ck = SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
@@ -759,6 +655,32 @@ mod tests {
             resumed.resume_from(&ck).expect("resume");
             let log = resumed.run().clone();
             assert_eq!(log.to_json(), reference.to_json(), "mode {mode:?}");
+            assert_eq!(
+                resumed.checkpoint().to_json(),
+                uninterrupted.checkpoint().to_json(),
+                "mode {mode:?}: checkpoint format drifted"
+            );
+        }
+    }
+
+    #[test]
+    fn resume_rejects_soft_labels_that_do_not_fit_the_shards() {
+        // The same scenario split under another seed: every device's
+        // architecture still matches, but its shard size does not, so the
+        // stored soft labels would index past the device's shard.
+        let dirichlet = Partition::Dirichlet { beta: 0.3 };
+        for mode in [Materialization::Eager, Materialization::Lazy] {
+            let sim_cfg = SimConfig { materialization: mode, ..default_sim() };
+            let mut first = setup_split(sim_cfg, dirichlet, 5);
+            first.round(0);
+            let ck = first.checkpoint();
+            let mut other = setup_split(sim_cfg, dirichlet, 11);
+            let lens = |sim: &Simulation<FedGkt>| -> Vec<usize> {
+                (0..3).map(|k| sim.algorithm().fleet.shard_len(k)).collect()
+            };
+            assert_ne!(lens(&first), lens(&other), "the two splits must differ");
+            let err = other.resume_from(&ck).expect_err("mismatched soft labels");
+            assert!(err.contains("soft_") && err.contains("tensor"), "{mode:?}: {err}");
         }
     }
 

@@ -16,10 +16,11 @@
 //!   (raw f32, int8/int4 quantization, top-k sparsification), so the
 //!   accounted traffic is the *encoded* size and lossy-decode error flows
 //!   into training;
-//! * [`registry`] — the lazy, sharded [`DeviceRegistry`] behind
-//!   cross-device scale: under [`Materialization::Lazy`] a device is
-//!   materialized from its spec + deterministic per-device seed only while
-//!   needed and dropped back to a state summary afterwards, with
+//! * [`registry`] — the [`DeviceFleet`] every stateful-device algorithm
+//!   holds its devices in, over the lazy, sharded [`DeviceRegistry`]
+//!   behind cross-device scale: under [`Materialization::Lazy`] a device
+//!   is materialized from its spec + deterministic per-device seed only
+//!   while needed and dropped back to a state summary afterwards, with
 //!   resident/peak counters exported into every
 //!   [`RoundMetrics`] row (lazy and eager runs are bit-identical);
 //! * [`churn`] — seeded, deterministic fleet dynamics ([`ChurnSpec`] /
@@ -132,7 +133,7 @@ pub use fedgkt::{FedGkt, FedGktConfig};
 pub use fedzkt_tensor::ComputeFormat;
 pub use metrics::{RoundMetrics, RunLog};
 pub use participation::ParticipationSampler;
-pub use registry::{DeviceRegistry, Materialization};
+pub use registry::{DeviceFleet, DeviceRegistry, Materialization, ShardStore};
 pub use simclock::{DeviceResources, RoundParticipant, SimClock};
 pub use training::{
     digest_logits, train_local, train_local_fleet, DigestConfig, FleetJob, LocalTrainConfig,

@@ -14,7 +14,16 @@
 //! * [`DeviceRegistry`] — per-device slots holding only a device's
 //!   cumulative state summary (a [`StateDict`], absent until the device
 //!   first trains) plus residency flags, sharded so that slot storage for
-//!   a million registered devices is allocated on demand, never up front.
+//!   a million registered devices is allocated on demand, never up front;
+//! * [`ShardStore`] — the devices' private data: pre-sliced shards
+//!   (eager) or one training set plus per-device index sets (lazy),
+//!   staged per dispatch;
+//! * [`DeviceFleet`] — the whole lazy-fleet policy for algorithms whose
+//!   devices carry their own models (FedZKT, FedMD, Fed-ET, FedGKT): the
+//!   per-device spec and model slots, the shard store, residency, the
+//!   payload-template fallback and the `device_{k}` checkpoint entries.
+//!   Stateless-device algorithms (FedAvg/FedProx) use only the shard
+//!   store and a registry.
 //!
 //! The registry is also the **instrument**: it maintains `resident` /
 //! `peak_resident` / `touched` counters that the driver exports into every
@@ -32,7 +41,11 @@
 //! scenario therefore produce bit-identical [`RunLog`](crate::RunLog)s —
 //! the workspace equivalence suite asserts exactly that.
 
-use fedzkt_nn::StateDict;
+use crate::checkpoint::AlgoState;
+use fedzkt_data::Dataset;
+use fedzkt_models::ModelSpec;
+use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
+use std::borrow::Cow;
 
 /// Fleet materialization strategy — a throughput/memory knob, never a
 /// semantics knob: for any scenario, lazy and eager runs are bit-identical
@@ -280,6 +293,27 @@ impl DeviceRegistry {
         self.touched = self.touched.max(touched);
     }
 
+    /// Checkpoint the monotone counters as the `registry` words
+    /// `[peak_resident, touched]`.
+    pub fn save_counters(&self, state: &mut AlgoState) {
+        state.put_words("registry", vec![self.peak_resident as u64, self.touched as u64]);
+    }
+
+    /// Restore counters written by [`DeviceRegistry::save_counters`]
+    /// through [`DeviceRegistry::absorb_counters`].
+    ///
+    /// # Errors
+    /// Returns a message when the entry is missing or not two words long.
+    pub fn load_counters(&mut self, state: &AlgoState) -> Result<(), String> {
+        match *state.words("registry")? {
+            [peak, touched] => {
+                self.absorb_counters(peak as usize, touched as usize);
+                Ok(())
+            }
+            _ => Err("registry counters must be [peak_resident, touched]".into()),
+        }
+    }
+
     fn assert_in_range(&self, k: usize) {
         assert!(k < self.registered, "device {k} out of range (registered: {})", self.registered);
     }
@@ -296,6 +330,268 @@ impl DeviceRegistry {
             (0..self.shard_size).map(|_| Slot::default()).collect::<Vec<_>>().into_boxed_slice()
         });
         &mut shard[k % self.shard_size]
+    }
+}
+
+/// The devices' private shards, stored per the fleet's materialization
+/// mode: eager keeps every shard sliced (cheapest at paper scale, and
+/// `train` is never held twice); lazy keeps one training set plus the
+/// per-device index sets and slices a shard only while its device is
+/// dispatched.
+pub enum ShardStore {
+    /// Every shard, sliced at construction.
+    Eager(Vec<Dataset>),
+    /// The training set and each device's index set into it.
+    Lazy {
+        /// The shared training set.
+        train: Dataset,
+        /// Device `k`'s sample indices in `train`.
+        index: Vec<Vec<usize>>,
+    },
+}
+
+impl ShardStore {
+    /// Store `shards` (index sets into `train`) per `mode`.
+    pub fn new(train: &Dataset, shards: &[Vec<usize>], mode: Materialization) -> Self {
+        match mode {
+            Materialization::Eager => {
+                ShardStore::Eager(shards.iter().map(|idx| train.subset(idx)).collect())
+            }
+            Materialization::Lazy => {
+                ShardStore::Lazy { train: train.clone(), index: shards.to_vec() }
+            }
+        }
+    }
+
+    /// Is this the lazy store?
+    pub fn is_lazy(&self) -> bool {
+        matches!(self, ShardStore::Lazy { .. })
+    }
+
+    /// Number of samples in device `k`'s shard.
+    pub fn shard_len(&self, k: usize) -> usize {
+        match self {
+            ShardStore::Eager(shards) => shards[k].len(),
+            ShardStore::Lazy { index, .. } => index[k].len(),
+        }
+    }
+
+    /// The shards of `ids`, in order, for one dispatch: borrowed from the
+    /// eager store, sliced (and dropped with the result) in the lazy one.
+    pub fn stage(&self, ids: &[usize]) -> Vec<Cow<'_, Dataset>> {
+        match self {
+            ShardStore::Eager(shards) => ids.iter().map(|&k| Cow::Borrowed(&shards[k])).collect(),
+            ShardStore::Lazy { train, index } => {
+                ids.iter().map(|&k| Cow::Owned(train.subset(&index[k]))).collect()
+            }
+        }
+    }
+}
+
+/// A heterogeneous fleet of stateful devices: each device's [`ModelSpec`],
+/// its model while resident, its private shard, and the registry that
+/// summarizes it in between.
+///
+/// Eager fleets build every model at construction and keep it for the
+/// whole run. Lazy fleets build a model on first use
+/// ([`DeviceFleet::ensure_resident`]) with the same seeded build — then
+/// restore the registry summary, if any — and drop it back to a summary
+/// in [`DeviceFleet::end_round`]. The snapshot→rebuild→load round trip is
+/// lossless, so the two modes are bit-identical.
+///
+/// `M` is the device model type; it defaults to a boxed zoo model, and an
+/// algorithm with composite devices (FedGKT's split models) names its own.
+pub struct DeviceFleet<M = Box<dyn Module>> {
+    specs: Vec<ModelSpec>,
+    models: Vec<Option<M>>,
+    shards: ShardStore,
+    registry: DeviceRegistry,
+    build: Build<M>,
+}
+
+/// Device `k`'s deterministic construction from its spec.
+type Build<M> = Box<dyn Fn(usize, &ModelSpec) -> M>;
+
+impl<M: AsRef<dyn Module>> DeviceFleet<M> {
+    /// A fleet of `zoo.len()` devices: device `k` runs `zoo[k]` and owns
+    /// the samples `shards[k]` of `train`. `build(k, spec)` is device
+    /// `k`'s deterministic construction (its seed must depend only on
+    /// `k`): it runs once per device at construction in eager mode, and at
+    /// every materialization in lazy mode.
+    ///
+    /// # Panics
+    /// Panics when `zoo`/`shards` lengths differ or are empty.
+    pub fn new(
+        zoo: &[ModelSpec],
+        train: &Dataset,
+        shards: &[Vec<usize>],
+        mode: Materialization,
+        build: impl Fn(usize, &ModelSpec) -> M + 'static,
+    ) -> Self {
+        assert!(!zoo.is_empty(), "need at least one device");
+        assert_eq!(zoo.len(), shards.len(), "zoo/shards length mismatch");
+        let (models, registry) = match mode {
+            Materialization::Eager => (
+                zoo.iter().enumerate().map(|(k, spec)| Some(build(k, spec))).collect(),
+                DeviceRegistry::eager(zoo.len()),
+            ),
+            Materialization::Lazy => {
+                (zoo.iter().map(|_| None).collect(), DeviceRegistry::new(zoo.len()))
+            }
+        };
+        DeviceFleet {
+            specs: zoo.to_vec(),
+            models,
+            shards: ShardStore::new(train, shards, mode),
+            registry,
+            build: Box::new(build),
+        }
+    }
+
+    /// Number of devices.
+    pub fn devices(&self) -> usize {
+        self.specs.len()
+    }
+
+    /// Device `k`'s architecture.
+    pub fn spec(&self, k: usize) -> ModelSpec {
+        self.specs[k]
+    }
+
+    /// The residency registry.
+    pub fn registry(&self) -> &DeviceRegistry {
+        &self.registry
+    }
+
+    /// Number of samples in device `k`'s shard.
+    pub fn shard_len(&self, k: usize) -> usize {
+        self.shards.shard_len(k)
+    }
+
+    /// The shards of `ids` for one dispatch (see [`ShardStore::stage`]).
+    pub fn stage(&self, ids: &[usize]) -> Vec<Cow<'_, Dataset>> {
+        self.shards.stage(ids)
+    }
+
+    /// Device `k`'s resident model.
+    ///
+    /// # Panics
+    /// Panics when the device is not resident — a lifecycle bug, since
+    /// every code path that touches a model materializes it first.
+    pub fn device(&self, k: usize) -> &M {
+        self.models[k].as_ref().expect("device model must be resident here")
+    }
+
+    /// Device `k`'s resident model as a [`Module`] (panics like
+    /// [`DeviceFleet::device`]).
+    pub fn model(&self, k: usize) -> &dyn Module {
+        self.device(k).as_ref()
+    }
+
+    /// Every device model, in device order (all must be resident).
+    pub fn models(&self) -> impl Iterator<Item = &dyn Module> {
+        (0..self.devices()).map(|k| self.model(k))
+    }
+
+    /// Materialize each device of `ids` that is not resident: the seeded
+    /// build, then the registry summary, if the device has one.
+    pub fn ensure_resident(&mut self, ids: impl IntoIterator<Item = usize>) {
+        for k in ids {
+            if self.models[k].is_some() {
+                continue;
+            }
+            let model = (self.build)(k, &self.specs[k]);
+            if let Some(summary) = self.registry.take_summary(k) {
+                load_state_dict(model.as_ref(), &summary)
+                    .expect("registry summary matches device architecture");
+            }
+            self.models[k] = Some(model);
+            self.registry.checkout(k);
+        }
+    }
+
+    /// Materialize every device (teacher ensembles and evaluation borrow
+    /// the whole fleet).
+    pub fn ensure_all_resident(&mut self) {
+        self.ensure_resident(0..self.devices());
+    }
+
+    /// Lazy mode: drop every resident model back to its registry summary.
+    /// An eager fleet stays materialized for the whole run.
+    pub fn end_round(&mut self) {
+        if !self.shards.is_lazy() {
+            return;
+        }
+        for (k, slot) in self.models.iter_mut().enumerate() {
+            if let Some(model) = slot.take() {
+                self.registry.store_summary(k, state_dict(model.as_ref()));
+                self.registry.release(k);
+            }
+        }
+    }
+
+    /// Device `k`'s current state dict without materializing it: the
+    /// resident model, else its summary, else a fresh seeded build (a
+    /// device that never trained).
+    pub fn payload_template(&self, k: usize) -> StateDict {
+        if let Some(model) = &self.models[k] {
+            return state_dict(model.as_ref());
+        }
+        if let Some(summary) = self.registry.summary(k) {
+            return summary.clone();
+        }
+        state_dict((self.build)(k, &self.specs[k]).as_ref())
+    }
+
+    /// Checkpoint every trained device as blob `device_{k}` — resident
+    /// models first, then the summaries (an O(touched) walk) — and the
+    /// registry counters. A device that never trained has no entry.
+    pub fn save(&self, state: &mut AlgoState) {
+        for (k, model) in self.models.iter().enumerate() {
+            if let Some(model) = model {
+                state.put_dict(format!("device_{k}"), &state_dict(model.as_ref()));
+            }
+        }
+        for (k, summary) in self.registry.summaries() {
+            state.put_dict(format!("device_{k}"), summary);
+        }
+        self.registry.save_counters(state);
+    }
+
+    /// Restore what [`DeviceFleet::save`] wrote. Every `device_{k}` blob
+    /// is checked against device `k`'s architecture in both modes — a
+    /// lazy fleet loads it into one template model per distinct spec
+    /// before keeping it as a summary — so a checkpoint from a different
+    /// zoo fails here, not at the device's next materialization.
+    ///
+    /// # Errors
+    /// Returns a message naming the device whose state does not fit, or
+    /// the malformed registry entry.
+    pub fn load(&mut self, state: &AlgoState) -> Result<(), String> {
+        let mut templates: Vec<(ModelSpec, M)> = Vec::new();
+        for k in 0..self.devices() {
+            let name = format!("device_{k}");
+            if !state.has_blob(&name) {
+                continue; // never trained: rematerializes from its seed
+            }
+            let sd = state.dict(&name)?;
+            let target = match &self.models[k] {
+                Some(model) => model.as_ref(),
+                None => {
+                    let spec = self.specs[k];
+                    let i = templates.iter().position(|(s, _)| *s == spec).unwrap_or_else(|| {
+                        templates.push((spec, (self.build)(k, &spec)));
+                        templates.len() - 1
+                    });
+                    templates[i].1.as_ref()
+                }
+            };
+            load_state_dict(target, &sd).map_err(|e| format!("device {k}: {e}"))?;
+            if self.models[k].is_none() {
+                self.registry.store_summary(k, sd);
+            }
+        }
+        self.registry.load_counters(state)
     }
 }
 

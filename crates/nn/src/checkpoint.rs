@@ -15,7 +15,7 @@
 
 use crate::{NnError, StateDict};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fedzkt_tensor::Tensor;
+use fedzkt_tensor::{checked_numel, Tensor};
 
 const MAGIC: &[u8; 4] = b"FZKT";
 const VERSION: u32 = 1;
@@ -79,9 +79,8 @@ pub fn decode_state_dict(mut data: &[u8]) -> Result<StateDict, NnError> {
         }
         // Checked: a wrapped element count would let a huge claimed shape
         // pass the length check against a short buffer.
-        let bytes = shape
-            .iter()
-            .try_fold(4usize, |acc, &d| acc.checked_mul(d))
+        let bytes = checked_numel(&shape)
+            .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| fail("tensor shape overflows the element count"))?;
         if data.remaining() < bytes {
             return Err(fail("truncated tensor data"));

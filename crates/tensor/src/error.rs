@@ -48,6 +48,11 @@ pub enum TensorError {
     InvalidGeometry(String),
     /// Generic invalid-argument error with a human-readable reason.
     InvalidArgument(String),
+    /// The shape's element count overflows `usize`.
+    ShapeOverflow {
+        /// The requested shape.
+        shape: Vec<usize>,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -70,6 +75,9 @@ impl fmt::Display for TensorError {
             }
             TensorError::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),
             TensorError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            TensorError::ShapeOverflow { shape } => {
+                write!(f, "shape {shape:?} has more than usize::MAX elements")
+            }
         }
     }
 }

@@ -41,7 +41,9 @@ pub use compute::ComputeFormat;
 pub use error::TensorError;
 pub use init::{fan_in_out_conv2d, fan_in_out_linear, Init};
 pub use rng::{seeded_rng, split_seed, standard_normal, Prng};
-pub use shape::{broadcastable_bias, conv_output_size, numel, same_shape, strides, Shape};
+pub use shape::{
+    broadcastable_bias, checked_numel, conv_output_size, numel, same_shape, strides, Shape,
+};
 pub use tensor::Tensor;
 
 /// Crate-wide result alias.

@@ -17,8 +17,23 @@ pub type Shape = Vec<usize>;
 /// assert_eq!(fedzkt_tensor::numel(&[2, 3, 4]), 24);
 /// assert_eq!(fedzkt_tensor::numel(&[]), 1);
 /// ```
+///
+/// # Panics
+/// Panics when the product overflows `usize` (see [`checked_numel`] for
+/// the fallible form).
 pub fn numel(shape: &[usize]) -> usize {
-    shape.iter().product()
+    checked_numel(shape)
+        .unwrap_or_else(|| panic!("shape {shape:?} has more than usize::MAX elements"))
+}
+
+/// [`numel`] without the panic: `None` when the product overflows `usize`.
+///
+/// ```
+/// assert_eq!(fedzkt_tensor::checked_numel(&[2, 3]), Some(6));
+/// assert_eq!(fedzkt_tensor::checked_numel(&[65536; 4]), None);
+/// ```
+pub fn checked_numel(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
 }
 
 /// Row-major strides for a shape.

@@ -1,7 +1,7 @@
 //! The [`Tensor`] type: an owned, contiguous, row-major `f32` array.
 
 use crate::rng::{standard_normal, Prng};
-use crate::shape::{numel, same_shape, strides};
+use crate::shape::{checked_numel, numel, same_shape, strides};
 use crate::{Result, TensorError};
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -52,10 +52,12 @@ impl Tensor {
     /// Build a tensor from raw data and a shape.
     ///
     /// # Errors
-    /// Returns [`TensorError::LengthMismatch`] when `data.len()` differs from
-    /// the shape volume.
+    /// Returns [`TensorError::ShapeOverflow`] when the shape volume
+    /// overflows `usize`, and [`TensorError::LengthMismatch`] when
+    /// `data.len()` differs from it.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self> {
-        let expected = numel(shape);
+        let expected =
+            checked_numel(shape).ok_or_else(|| TensorError::ShapeOverflow { shape: shape.to_vec() })?;
         if data.len() != expected {
             return Err(TensorError::LengthMismatch { expected, actual: data.len() });
         }
@@ -63,6 +65,9 @@ impl Tensor {
     }
 
     /// A tensor of zeros with the given shape.
+    ///
+    /// # Panics
+    /// Panics when the shape volume overflows `usize`.
     pub fn zeros(shape: &[usize]) -> Self {
         Tensor { shape: shape.to_vec(), data: vec![0.0; numel(shape)] }
     }
@@ -73,6 +78,9 @@ impl Tensor {
     }
 
     /// A tensor filled with `value`.
+    ///
+    /// # Panics
+    /// Panics when the shape volume overflows `usize`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         Tensor { shape: shape.to_vec(), data: vec![value; numel(shape)] }
     }
@@ -189,9 +197,11 @@ impl Tensor {
     /// Reinterpret the tensor with a new shape of equal volume.
     ///
     /// # Errors
-    /// Returns [`TensorError::LengthMismatch`] when the volumes differ.
+    /// Returns [`TensorError::ShapeOverflow`] when the new volume overflows
+    /// `usize`, and [`TensorError::LengthMismatch`] when the volumes differ.
     pub fn reshape(&self, shape: &[usize]) -> Result<Self> {
-        let expected = numel(shape);
+        let expected =
+            checked_numel(shape).ok_or_else(|| TensorError::ShapeOverflow { shape: shape.to_vec() })?;
         if expected != self.data.len() {
             return Err(TensorError::LengthMismatch { expected, actual: self.data.len() });
         }

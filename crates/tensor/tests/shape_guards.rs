@@ -6,7 +6,9 @@
 //! checks missing). The guards are now unconditional entry asserts; these
 //! tests pin that they fire **in every build profile** — CI runs this
 //! file under `--release` — and that the panic message names the kernel,
-//! the offending operand, and the full `(m, k, n)` problem size.
+//! the offending operand, and the full `(m, k, n)` problem size. The
+//! same file pins the checked shape volume: a shape whose element count
+//! overflows `usize` is an error (or an explicit panic), never a wrap.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -141,4 +143,26 @@ fn well_sized_zero_extent_calls_do_not_panic() {
     let mut out = vec![0.5f32; 6];
     gemm::gemm_nn(&[], &[], &mut out, 2, 0, 3); // k == 0: out unchanged
     assert!(out.iter().all(|&v| v == 0.5));
+}
+
+#[test]
+fn overflowing_shape_volume_is_rejected_not_wrapped() {
+    // [65536; 4] has 2^64 elements, which wraps to 0 in an unchecked
+    // product: from_vec used to accept it with no data at all.
+    use fedzkt_tensor::{checked_numel, Tensor, TensorError};
+    let huge = [65536usize; 4];
+    assert_eq!(checked_numel(&huge), None);
+    assert_eq!(
+        Tensor::from_vec(Vec::new(), &huge),
+        Err(TensorError::ShapeOverflow { shape: huge.to_vec() })
+    );
+    assert!(Tensor::scalar(0.0).reshape(&huge).is_err());
+    let msg = panic_message(|| {
+        Tensor::zeros(&huge);
+    });
+    assert!(msg.contains("more than usize::MAX elements"), "{msg}");
+    let msg = panic_message(|| {
+        Tensor::full(&huge, 1.0);
+    });
+    assert!(msg.contains("[65536, 65536, 65536, 65536]"), "{msg}");
 }
